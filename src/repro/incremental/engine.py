@@ -30,8 +30,9 @@ re-analysing only what an edit could have changed:
    fault-tolerant sharded runtime
    (:func:`~repro.runtime.parallel.shard_cone_queries`), or through an
    attached :class:`~repro.incremental.pool.WarmPool` (the long-lived
-   query service's warm workers).  All execution routes are
-   result-identical.
+   query service's warm workers); a single dirty cone runs in-process.
+   Every route goes through :func:`~repro.runtime.parallel.run_cones`,
+   so all of them are result-identical.
 
 The *record* returned by :meth:`IncrementalTimingEngine.query` is
 deterministic and byte-comparable: an incremental re-query equals a cold
@@ -59,8 +60,9 @@ from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import cone_fingerprint, node_cone_fingerprints
 from ..runtime.metrics import METRICS
+from ..runtime.parallel import _run_in_process, run_cones, shard_cone_queries
 from ..runtime.tracing import TRACER
-from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
+from .cones import KINDS, ConeResult, extract_cone
 
 
 @dataclass
@@ -226,18 +228,11 @@ class IncrementalTimingEngine:
         if len(cones) > 1 and self.pool is not None:
             return self.pool.run_cones(cones, kind, self.engine_name)
         if len(cones) > 1 and self.jobs != 1:
-            from ..runtime.parallel import shard_cone_queries
-
             return shard_cone_queries(
                 cones, kind, self.engine_name, jobs=self.jobs,
                 timeout=self.timeout, retries=self.retries,
             )
-        computed = {}
-        for cone in cones:
-            result = evaluate_cone(cone, kind, self.engine_name)
-            METRICS.incr("incremental.cone_checks", result.checks)
-            computed[result.output] = result
-        return computed
+        return run_cones(_run_in_process, cones, kind, self.engine_name)
 
     def _aggregate(self, kind, outputs, memo) -> Dict[str, object]:
         per_output = {out: memo[out][1] for out in outputs}

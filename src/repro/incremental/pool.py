@@ -1,21 +1,21 @@
 """A warm, long-lived worker pool for the query service.
 
-The batch sharder (:mod:`repro.runtime.parallel`) builds and tears down a
-process pool per call — the right trade for one-shot CLI commands, but a
-long-lived query service would pay worker start-up (process fork + module
-import) on every request.  :class:`WarmPool` keeps one
-:class:`~concurrent.futures.ProcessPoolExecutor` alive across requests and
-reuses the sharder's building blocks (round-robin chunking, the fault
-hook, per-round timeouts).
+A batch ``shard_*`` call builds a private
+:class:`~repro.runtime.parallel.ShardPool` and closes it on return — the
+right trade for one-shot CLI commands, but a long-lived query service
+would pay worker start-up (process fork + module import) on every
+request.  :class:`WarmPool` owns one :class:`~repro.runtime.parallel.ShardPool`
+for its whole life and runs each request's round through the same
+sharded runner as the batch calls, so timeouts, failure accounting and
+the kill/rebuild of a broken pool are the runner's.
 
-Degradation favours latency predictability over retry rounds: a failed or
-timed-out chunk is *not* resubmitted — the pool is killed (a hung worker
-never drains its queue on its own), the failed items run serially
-in-process, and the next request lazily restarts the pool.  Results are
-therefore never lost, only slower, exactly like the batch sharder's final
-degradation step.  Every degradation is counted
-(``warmpool.degraded_rounds`` / ``warmpool.restarts``) and surfaced by the
-service's ``stats`` op.
+Degradation favours latency predictability over retry rounds: a round
+runs with ``retries=0``, so a failed or timed-out chunk is *not*
+resubmitted — the pool is killed (a hung worker never drains its queue
+on its own), the failed items run serially in-process, and the next
+request lazily rebuilds the pool.  Results are therefore never lost,
+only slower.  Degraded rounds and pool rebuilds are reported by
+:meth:`WarmPool.stats`, which the service's ``stats`` op surfaces.
 
 The pool is shared by every session of the multi-client timing server
 (:mod:`repro.serve`), so :meth:`WarmPool.run` is serialised under a lock:
@@ -29,66 +29,50 @@ evaluating cones of the old one.
 
 from __future__ import annotations
 
+import functools
 import threading
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
-from ..runtime.faults import worker_fault
-from ..runtime.metrics import METRICS
 from ..runtime.parallel import (
-    _chunk_round_robin,
-    _cone_worker,
+    ShardPool,
+    _run_in_process,
+    _run_sharded,
     resolve_jobs,
+    run_cones,
 )
-from ..runtime.transport import _call_worker, _kill_pool
-from ..runtime.tracing import TRACER
 
 
 class WarmPool:
     """A persistent process pool with serial degradation.
 
     ``jobs`` is the worker count (``0`` = all cores); ``timeout`` bounds
-    each request's parallel round in wall-clock seconds (``None`` = wait
-    forever, which is safe only without fault injection).
+    each request's parallel round in wall-clock seconds (``None`` = the
+    process-wide ``--timeout`` policy, which defaults to waiting forever
+    — safe only without fault injection).
     """
 
     def __init__(self, jobs: int = 2, timeout: Optional[float] = None):
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool = ShardPool(self.jobs)
         #: Serialises rounds: the pool kill/rebuild dance and the
-        #: ``rounds``/``restarts`` accounting assume one round at a time.
+        #: ``rounds`` accounting assume one round at a time.
         self._lock = threading.RLock()
         self.rounds = 0
-        self.restarts = 0
-        self.degraded_rounds = 0
         self.drains = 0
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            self.restarts += 1
-        return self._pool
 
     @property
     def live(self) -> bool:
-        return self._pool is not None
+        return self._pool.live
 
     def stats(self) -> dict:
         return {
             "jobs": self.jobs,
             "live": self.live,
             "rounds": self.rounds,
-            # First _ensure_pool counts as a (re)start; report actual
-            # restarts, i.e. pool builds beyond the initial one.
-            "restarts": max(0, self.restarts - 1),
-            "degraded_rounds": self.degraded_rounds,
+            # The first build is a start, not a restart.
+            "restarts": max(0, self._pool.builds - 1),
+            "degraded_rounds": self._pool.failed_rounds,
             "drains": self.drains,
         }
 
@@ -102,9 +86,7 @@ class WarmPool:
         """
         with self._lock:
             self.drains += 1
-            METRICS.incr("warmpool.drains")
 
-    # ------------------------------------------------------------------
     def run(self, worker, items: Sequence, make_payload, label="warm"):
         """Run ``worker`` over round-robin chunks of ``items``.
 
@@ -113,120 +95,28 @@ class WarmPool:
         the list of per-chunk results; callers merge order-insensitively.
         Rounds are serialised: concurrent callers queue on the pool lock.
         """
-        with self._lock:
-            return self._run_round(worker, items, make_payload, label)
-
-    def _run_round(self, worker, items: Sequence, make_payload, label):
         items = list(items)
         if not items:
             return []
-        self.rounds += 1
-        if self.jobs == 1 or len(items) == 1:
-            # Not worth a process round trip; also the degradation target.
-            return [self._run_serial(worker, make_payload, items, label)]
-        fault = worker_fault()
-        chunks = _chunk_round_robin(items, self.jobs)
-        pool = self._ensure_pool()
-        futures = {}
-        failed = []
-        results = []
-        pool_dead = False
-        try:
-            for index, chunk in enumerate(chunks):
-                future = pool.submit(
-                    _call_worker, (worker, index, fault, make_payload(chunk))
-                )
-                futures[future] = (index, chunk)
-        except BrokenProcessPool:
-            pool_dead = True
-            submitted = {index for index, __ in futures.values()}
-            failed.extend(
-                (index, chunk)
-                for index, chunk in enumerate(chunks)
-                if index not in submitted
+        with self._lock:
+            self.rounds += 1
+            if self.jobs == 1 or len(items) == 1:
+                # Not worth a process round trip.
+                return _run_in_process(worker, items, make_payload)
+            return _run_sharded(
+                worker, items, make_payload, self.jobs,
+                timeout=self.timeout, retries=0, label=label,
+                pool=self._pool,
             )
-        __, not_done = wait(futures, timeout=self.timeout)
-        for future, (index, chunk) in futures.items():
-            if future in not_done:
-                pool_dead = True
-                METRICS.incr("warmpool.chunk_timeouts")
-                TRACER.event(
-                    "warm-chunk-timeout", label=label, chunk=index,
-                    items=len(chunk),
-                )
-                failed.append((index, chunk))
-                continue
-            try:
-                pid, elapsed, (result, counters, gauges) = future.result()
-            except (BrokenProcessPool, CancelledError):
-                pool_dead = True
-                METRICS.incr("warmpool.chunk_failures")
-                TRACER.event(
-                    "warm-worker-died", label=label, chunk=index,
-                    items=len(chunk),
-                )
-                failed.append((index, chunk))
-            except Exception as error:
-                METRICS.incr("warmpool.chunk_failures")
-                TRACER.event(
-                    "warm-chunk-error", label=label, chunk=index,
-                    items=len(chunk), error=repr(error),
-                )
-                failed.append((index, chunk))
-            else:
-                METRICS.merge_counters(counters)
-                METRICS.merge_gauges(gauges)
-                TRACER.add_span(
-                    f"{label}.chunk", elapsed, counters=counters,
-                    gauges=gauges, chunk=index, items=len(chunk), worker=pid,
-                )
-                results.append(result)
-        if pool_dead:
-            _kill_pool(pool)
-            self._pool = None
-        if failed:
-            self.degraded_rounds += 1
-            METRICS.incr("warmpool.degraded_rounds")
-            failed.sort(key=lambda task: task[0])
-            remainder = [item for __, chunk in failed for item in chunk]
-            TRACER.event("warm-degrade-serial", label=label,
-                         items=len(remainder))
-            results.append(
-                self._run_serial(worker, make_payload, remainder, label)
-            )
-        return results
 
-    @staticmethod
-    def _run_serial(worker, make_payload, items, label):
-        with TRACER.span(f"{label}.serial", items=len(items)):
-            result, counters, gauges = worker(make_payload(items))
-        METRICS.merge_counters(counters)
-        METRICS.merge_gauges(gauges)
-        return result
-
-    # ------------------------------------------------------------------
     def run_cones(self, cones: Sequence, kind: str, engine_name: str):
         """Evaluate cone circuits on the warm pool (the engine's fan-out)."""
-
-        def make_payload(chunk):
-            return (kind, engine_name, list(chunk))
-
-        chunks = self.run(_cone_worker, cones, make_payload, label="cones")
-        merged = {}
-        for chunk in chunks:
-            for result in chunk:
-                merged[result.output] = result
-        return {
-            cone.outputs[0]: merged[cone.outputs[0]]
-            for cone in cones
-            if cone.outputs[0] in merged
-        }
+        run = functools.partial(self.run, label="cones")
+        return run_cones(run, cones, kind, engine_name)
 
     def shutdown(self) -> None:
         with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+            self._pool.close()
 
     def __enter__(self) -> "WarmPool":
         return self

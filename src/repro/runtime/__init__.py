@@ -9,12 +9,8 @@ circuit content plus a handful of parameters.  This package exploits that:
   result cache keyed by ``(fingerprint, kind, engine, constraint, params)``;
 * :mod:`repro.runtime.parallel` — a fault-tolerant sharder for the
   per-output / per-path / per-sample fan-out of the delay cores
-  (per-chunk timeouts, poison-isolation retries, serial degradation);
-* :mod:`repro.runtime.transport` — the :class:`ShardTransport`
-  interface behind the sharder: the in-host process pool, or
-  :mod:`repro.runtime.remote`'s long-lived ``trued worker`` hosts over
-  JSON-lines sockets with the disk cache as the shared artifact store
-  (``docs/DISTRIBUTED.md``);
+  (per-chunk timeouts, poison-isolation retries, serial degradation) and
+  :class:`ShardPool`, the one process pool it runs on;
 * :mod:`repro.runtime.metrics` — counters and phase timers threaded
   through the cores and reported by the CLI and the benchmark harness;
 * :mod:`repro.runtime.tracing` — hierarchical execution spans (nested
@@ -43,6 +39,8 @@ from .fingerprint import (
 )
 from .metrics import GLOBAL_METRICS, METRICS, Metrics, current_metrics, metrics_scope
 from .parallel import (
+    ChunkResult,
+    ShardPool,
     execution_policy,
     resolve_jobs,
     set_execution_policy,
@@ -52,14 +50,6 @@ from .parallel import (
     shard_monte_carlo,
 )
 from .tracing import GLOBAL_TRACER, TRACER, Span, Tracer, current_tracer, tracer_scope
-from .transport import (
-    ChunkResult,
-    LocalPoolTransport,
-    ShardTransport,
-    resolve_transport,
-    set_transport_policy,
-    transport_policy,
-)
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -87,6 +77,8 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracer_scope",
+    "ChunkResult",
+    "ShardPool",
     "execution_policy",
     "resolve_jobs",
     "set_execution_policy",
@@ -94,10 +86,4 @@ __all__ = [
     "shard_cone_queries",
     "shard_fault_tests",
     "shard_monte_carlo",
-    "ChunkResult",
-    "LocalPoolTransport",
-    "ShardTransport",
-    "resolve_transport",
-    "set_transport_policy",
-    "transport_policy",
 ]

@@ -15,18 +15,13 @@ otherwise be trusted on faith; this hook makes each one reproducible in CI:
 ``REPRO_FAULT_INJECT=corrupt-cache:<token-prefix>``
     the first disk-cache read of any token with the given hex prefix sees
     corrupted bytes; the entry is then quarantined and rebuilt.
-``REPRO_FAULT_INJECT=corrupt-result:<task-index>``
-    a *remote* shard worker computes the chunk normally, then scribbles
-    garbage over the result artifact it pushed to the shared store — the
-    parent's fetch quarantines the artifact (``.bad``,
-    ``cache.disk_corrupt``) and the chunk retries.  The local pool
-    transport carries results in memory, so this kind is a no-op there.
 
-Task indices count every task the sharded runner ever submits within one
-process (retry tasks continue the numbering), so an injected
-crash/hang/corrupt-result fires exactly once instead of following the
-retried work around forever.  ``corrupt-cache`` fires once per token per
-process for the same reason.
+Task indices number the tasks of one sharded run: they restart at 0 for
+every ``shard_*`` call and every warm-pool round, and retry tasks
+continue the run's numbering.  So ``crash:0``/``hang:0`` fires once per
+run — its retry gets a fresh index and succeeds — but fires again in the
+next run of the same process; under a warm pool it hits every round.
+``corrupt-cache`` fires once per token per process.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ ENV_VAR = "REPRO_FAULT_INJECT"
 HANG_ENV_VAR = "REPRO_FAULT_HANG_SECONDS"
 
 #: Kinds injected inside worker processes (keyed by sharded-task index).
-WORKER_KINDS = ("crash", "hang", "corrupt-result")
+WORKER_KINDS = ("crash", "hang")
 KINDS = WORKER_KINDS + ("corrupt-cache",)
 
 
@@ -124,19 +119,6 @@ def inject_worker_fault(spec: Optional[FaultSpec], task_index: int) -> None:
         os._exit(87)
     if spec.kind == "hang":
         time.sleep(hang_seconds())
-
-
-def result_corruption_fault(
-    spec: Optional[FaultSpec], task_index: int
-) -> bool:
-    """True when a remote worker should corrupt the result artifact it
-    just pushed for ``task_index`` (``corrupt-result:<index>``).  Fires
-    at most once per index because retries get fresh indices."""
-    return (
-        spec is not None
-        and spec.kind == "corrupt-result"
-        and spec.task_index == task_index
-    )
 
 
 _corrupted_tokens: Set[str] = set()

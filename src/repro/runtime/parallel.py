@@ -30,36 +30,30 @@ event on the current :data:`~repro.runtime.tracing.TRACER` span; the
 deterministic fault hooks in :mod:`repro.runtime.faults` exercise each
 path in CI.
 
-*Where* a round runs is a :class:`~repro.runtime.transport.ShardTransport`
-(:mod:`repro.runtime.transport`): the in-host process pool by default,
-or long-lived ``trued worker`` hosts over sockets
-(:mod:`repro.runtime.remote`, ``--transport remote``, see
-``docs/DISTRIBUTED.md``).  The retry/degrade machinery above sits on
-top of the interface, so every transport inherits the same guarantee.
+Every round runs on a :class:`ShardPool`, the one process pool of the
+package, used two ways: private to one batch call (the ``shard_*``
+functions build it and close it when the call returns), or long-lived
+and owned by :class:`~repro.incremental.pool.WarmPool`, which keeps its
+workers warm across the requests of ``trued serve``.
 
 Workers return ``(result, counters, gauges)``; the parent folds counters
 additively and gauges max-wise into the global metrics, and attributes
-them to a per-chunk trace span tagged with the worker's pid, host, and
-transport.
+them to a per-chunk trace span tagged with the worker's pid.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import time
+from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .faults import worker_fault
+from .faults import inject_worker_fault, worker_fault
 from .metrics import METRICS, engine_peak_nodes
 from .tracing import TRACER
-from .transport import (
-    TIMEOUT,
-    WORKER_DIED,
-    ChunkResult,
-    ShardTransport,
-    _call_worker,  # noqa: F401  (back-compat: pool entry point lived here)
-    resolve_transport,
-)
 
 
 def resolve_jobs(jobs: Optional[int], task_count: Optional[int] = None) -> int:
@@ -118,29 +112,165 @@ def _resolve_policy(
 
 
 # ----------------------------------------------------------------------
+# The process pool
+# ----------------------------------------------------------------------
+#: Failure reasons for a task that produced no result this round.  The
+#: runner maps them to ``parallel.chunk_timeouts`` /
+#: ``parallel.chunk_failures``; any other reason is a chunk error, carried
+#: verbatim (the worker exception's ``repr``) into the trace event.
+TIMEOUT = "timeout"
+WORKER_DIED = "worker-died"
+
+
+@dataclass
+class ChunkResult:
+    """One completed chunk, with enough provenance to attribute it."""
+
+    index: int
+    chunk: list
+    result: object
+    counters: Dict[str, int] = field(default_factory=dict)
+    gauges: Dict[str, int] = field(default_factory=dict)
+    worker: int = 0
+    elapsed: float = 0.0
+
+
+#: A task that failed this round: ``(index, chunk, reason)``.
+FailedTask = Tuple[int, list, str]
+
+
+def _call_worker(args):
+    """Pool entry point (runs in the worker process): apply any injected
+    fault for this task, then clock the real worker."""
+    worker, task_index, fault, payload = args
+    inject_worker_fault(fault, task_index)
+    start = time.perf_counter()
+    result = worker(payload)
+    return os.getpid(), time.perf_counter() - start, result
+
+
+class ShardPool:
+    """A ``ProcessPoolExecutor`` of ``jobs`` workers that runs rounds of
+    chunk tasks and survives their failures.
+
+    The executor is built lazily by the first round.  A round that sees a
+    dead or hung worker kills it — a hung worker never drains the call
+    queue on its own, so a fresh pool is the only safe recovery — and the
+    next round builds a new one.  ``builds`` counts executor
+    constructions and ``failed_rounds`` the rounds in which some task
+    failed; :class:`~repro.incremental.pool.WarmPool` reports both.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = max(1, int(jobs))
+        self.builds = 0
+        self.failed_rounds = 0
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    @property
+    def live(self) -> bool:
+        return self._executor is not None
+
+    def run_round(
+        self,
+        worker,
+        make_payload,
+        tasks: Sequence[Tuple[int, list]],
+        timeout: Optional[float],
+        fault,
+    ) -> Tuple[List[ChunkResult], List[FailedTask]]:
+        """Run one round of ``(index, chunk)`` tasks.
+
+        Returns ``(completed, failed)`` covering every task exactly once.
+        Metrics and spans of the completed chunks are left to the caller.
+        """
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            self.builds += 1
+        futures: Dict[object, Tuple[int, list]] = {}
+        completed: List[ChunkResult] = []
+        failed: List[FailedTask] = []
+        pool_dead = False
+        try:
+            for index, chunk in tasks:
+                future = self._executor.submit(
+                    _call_worker, (worker, index, fault, make_payload(chunk))
+                )
+                futures[future] = (index, chunk)
+        except BrokenProcessPool:
+            pool_dead = True
+            submitted = {index for index, __ in futures.values()}
+            failed.extend(
+                (index, chunk, WORKER_DIED)
+                for index, chunk in tasks
+                if index not in submitted
+            )
+        __, not_done = wait(futures, timeout=timeout)
+        for future, (index, chunk) in futures.items():
+            if future in not_done:
+                pool_dead = True
+                failed.append((index, chunk, TIMEOUT))
+                continue
+            try:
+                pid, elapsed, (result, counters, gauges) = future.result()
+            except (BrokenProcessPool, CancelledError):
+                pool_dead = True
+                failed.append((index, chunk, WORKER_DIED))
+            except Exception as error:
+                failed.append((index, chunk, repr(error)))
+            else:
+                completed.append(
+                    ChunkResult(
+                        index=index, chunk=chunk, result=result,
+                        counters=counters, gauges=gauges,
+                        worker=pid, elapsed=elapsed,
+                    )
+                )
+        if pool_dead:
+            METRICS.incr("parallel.pool_restarts")
+            self.kill()
+        if failed:
+            self.failed_rounds += 1
+        return completed, failed
+
+    def kill(self) -> None:
+        """Hard-stop the executor, which may hold hung or dead workers:
+        terminate its processes, then abandon it without waiting."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        for process in list((executor._processes or {}).values()):
+            try:
+                process.terminate()
+            except Exception:
+                pass
+        try:
+            executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+
+    def close(self) -> None:
+        """Shut the executor down cleanly (a later round rebuilds it)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+
+# ----------------------------------------------------------------------
 # The fault-tolerant sharded runner
 # ----------------------------------------------------------------------
-def _harvest_chunk(
-    chunk_result: ChunkResult, label: str, transport_name: str, results: list
-) -> None:
-    """Fold one completed chunk into metrics/tracing and the result list
-    (always on the caller's thread — transports never touch METRICS or
-    TRACER for completed work)."""
-    METRICS.merge_counters(chunk_result.counters)
-    METRICS.merge_gauges(chunk_result.gauges)
-    TRACER.add_span(
-        f"{label}.chunk", chunk_result.elapsed,
-        counters=chunk_result.counters, gauges=chunk_result.gauges,
-        chunk=chunk_result.index, items=len(chunk_result.chunk),
-        worker=chunk_result.worker, host=chunk_result.host,
-        transport=transport_name,
-    )
-    results.append(chunk_result.result)
+def _run_in_process(worker, items: Sequence, make_payload) -> list:
+    """Run ``worker`` over ``items`` as one in-process chunk, folding its
+    counters and gauges exactly like a pool chunk's."""
+    result, counters, gauges = worker(make_payload(list(items)))
+    METRICS.merge_counters(counters)
+    METRICS.merge_gauges(gauges)
+    return [result]
 
 
 def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
-    """Count and trace one failed task, preserving the pre-transport
-    event vocabulary (chunk-timeout / worker-died / chunk-error)."""
+    """Count and trace one failed task (chunk-timeout / worker-died /
+    chunk-error)."""
     if reason == TIMEOUT:
         METRICS.incr("parallel.chunk_timeouts")
         TRACER.event(
@@ -168,7 +298,7 @@ def _run_sharded(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     label: str = "shard",
-    transport: Optional[ShardTransport] = None,
+    pool: Optional[ShardPool] = None,
 ) -> list:
     """Run ``worker`` over round-robin chunks of ``items`` with timeouts,
     poison-isolation retries, and serial degradation.
@@ -179,32 +309,36 @@ def _run_sharded(
     at whatever granularity execution ended up using — callers must merge
     order-insensitively (all six shard queries already do).
 
-    ``transport`` picks the execution substrate (an explicit
-    :class:`~repro.runtime.transport.ShardTransport` wins; otherwise the
-    process-wide ``--transport`` policy applies).  The round/retry/
-    degrade loop is transport-agnostic, so every substrate inherits the
-    jobs-invariance guarantee.
+    ``pool`` is a caller-owned :class:`ShardPool` that outlives the call
+    (the warm pool of ``trued serve``); without one, the run builds a
+    private pool of ``jobs`` workers and closes it on return.
     """
     timeout, retries = _resolve_policy(timeout, retries)
     chunks = _chunk_round_robin(list(items), jobs)
     if not chunks:
         return []
     fault = worker_fault()
-    next_index = 0
-    tasks: List[Tuple[int, list]] = []
-    for chunk in chunks:
-        tasks.append((next_index, chunk))
-        next_index += 1
+    tasks = list(enumerate(chunks))
+    next_index = len(tasks)
     results: list = []
-    failed: List[Tuple[int, list, str]] = []
-    transport, owned = resolve_transport(transport, jobs)
+    owned = pool is None
+    if owned:
+        pool = ShardPool(jobs)
     try:
         for attempt in range(retries + 1):
-            completed, failed = transport.run_round(
-                worker, make_payload, tasks, timeout, fault, label
+            completed, failed = pool.run_round(
+                worker, make_payload, tasks, timeout, fault
             )
-            for chunk_result in completed:
-                _harvest_chunk(chunk_result, label, transport.name, results)
+            for done in completed:
+                METRICS.merge_counters(done.counters)
+                METRICS.merge_gauges(done.gauges)
+                TRACER.add_span(
+                    f"{label}.chunk", done.elapsed,
+                    counters=done.counters, gauges=done.gauges,
+                    chunk=done.index, items=len(done.chunk),
+                    worker=done.worker,
+                )
+                results.append(done.result)
             for index, chunk, reason in failed:
                 _record_failure(index, chunk, reason, label)
             if not failed:
@@ -230,7 +364,6 @@ def _run_sharded(
         failed.sort(key=lambda task: task[0])
         remainder = [item for __, chunk, __reason in failed for item in chunk]
         METRICS.incr("parallel.serial_fallback_items", len(remainder))
-        METRICS.incr("transport.degraded")
         TRACER.event("degrade-serial", label=label, items=len(remainder))
         with TRACER.span(f"{label}.serial-fallback", items=len(remainder)):
             result, counters, gauges = worker(make_payload(remainder))
@@ -240,7 +373,7 @@ def _run_sharded(
         return results
     finally:
         if owned:
-            transport.close()
+            pool.close()
 
 
 def _engine_counters(prefix: str, engine) -> Dict[str, int]:
@@ -279,7 +412,6 @@ def shard_certification_pairs(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ):
     """Per-output certification pairs, one worker per output chunk.
 
@@ -297,7 +429,6 @@ def shard_certification_pairs(
         results = _run_sharded(
             _pairs_worker, outputs, make_payload, jobs,
             timeout=timeout, retries=retries, label="pairs",
-            transport=transport,
         )
     merged: Dict[str, Tuple[int, object]] = {}
     for pairs in results:
@@ -335,7 +466,6 @@ def shard_fault_tests(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ):
     """Run fault-test generation tasks across workers.
 
@@ -352,7 +482,6 @@ def shard_fault_tests(
         results = _run_sharded(
             _fault_worker, list(tasks), make_payload, jobs,
             timeout=timeout, retries=retries, label="faults",
-            transport=transport,
         )
     merged = []
     for entries in results:
@@ -377,6 +506,31 @@ def _cone_worker(payload):
     return results, {"incremental.cone_checks": checks}, {}
 
 
+def run_cones(run, cones: Sequence, kind: str, engine_name: str):
+    """The one cone route: evaluate ``cones`` through ``run(worker, items,
+    make_payload)`` — a sharded run, a warm-pool round or
+    :func:`_run_in_process` — and merge the per-chunk results into
+    ``{output: ConeResult}`` in the given cone order.
+
+    Each cone is a self-contained analysis, so per-cone results are
+    independent of the runner, of chunking and of worker count.
+    """
+
+    def make_payload(chunk):
+        return (kind, engine_name, list(chunk))
+
+    merged = {
+        result.output: result
+        for chunk in run(_cone_worker, list(cones), make_payload)
+        for result in chunk
+    }
+    return {
+        cone.outputs[0]: merged[cone.outputs[0]]
+        for cone in cones
+        if cone.outputs[0] in merged
+    }
+
+
 def shard_cone_queries(
     cones: Sequence,
     kind: str,
@@ -384,36 +538,23 @@ def shard_cone_queries(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ):
     """Evaluate single-output cone circuits across workers.
 
     ``cones`` are the extracted fanin-cone subcircuits of the dirty
-    outputs (:func:`repro.incremental.cones.extract_cone`); each is a
-    self-contained analysis, so per-cone results are independent of
-    chunking and worker count.  Returns ``{output: ConeResult}`` in the
-    given cone order.
+    outputs (:func:`repro.incremental.cones.extract_cone`).  Returns
+    ``{output: ConeResult}`` in the given cone order.
     """
     jobs = resolve_jobs(jobs, len(cones))
 
-    def make_payload(chunk):
-        return (kind, engine_name, list(chunk))
+    def run(worker, items, make_payload):
+        return _run_sharded(
+            worker, items, make_payload, jobs,
+            timeout=timeout, retries=retries, label="cones",
+        )
 
     with METRICS.phase("parallel.cone_queries"):
-        results = _run_sharded(
-            _cone_worker, list(cones), make_payload, jobs,
-            timeout=timeout, retries=retries, label="cones",
-            transport=transport,
-        )
-    merged = {}
-    for chunk in results:
-        for result in chunk:
-            merged[result.output] = result
-    return {
-        cone.outputs[0]: merged[cone.outputs[0]]
-        for cone in cones
-        if cone.outputs[0] in merged
-    }
+        return run_cones(run, cones, kind, engine_name)
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +612,6 @@ def shard_monte_carlo(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ) -> List[int]:
     """Monte Carlo samples across workers with per-sample seeded
     sub-streams and an index-ordered merge: the returned sample list is a
@@ -489,7 +629,6 @@ def shard_monte_carlo(
         results = _run_sharded(
             _monte_carlo_worker, range(num_samples), make_payload, jobs,
             timeout=timeout, retries=retries, label="monte-carlo",
-            transport=transport,
         )
     METRICS.incr("monte_carlo.samples", num_samples)
     merged = [delay for chunk in results for delay in chunk]
@@ -520,7 +659,6 @@ def shard_characterize_jobs(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ) -> List[Dict]:
     """Run characterization job payloads across workers.
 
@@ -542,7 +680,6 @@ def shard_characterize_jobs(
         results = _run_sharded(
             _characterize_worker, tasks, make_payload, jobs,
             timeout=timeout, retries=retries, label="characterize",
-            transport=transport,
         )
     merged = [entry for chunk in results for entry in chunk]
     merged.sort(key=lambda item: item[0])
@@ -570,7 +707,6 @@ def shard_fuzz_scenarios(
     jobs: int = 2,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
 ) -> List[List[Dict]]:
     """Run fuzz scenarios (as ``Scenario.to_dict`` payloads) across
     workers.
@@ -593,7 +729,6 @@ def shard_fuzz_scenarios(
         results = _run_sharded(
             _fuzz_worker, tasks, make_payload, jobs,
             timeout=timeout, retries=retries, label="fuzz",
-            transport=transport,
         )
     merged = [entry for chunk in results for entry in chunk]
     merged.sort(key=lambda item: item[0])

@@ -263,6 +263,11 @@ class TimingServer:
                     line = await reader.readline()
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
+                except ValueError:
+                    # The line outgrew the stream limit; the rest of it
+                    # cannot be framed, so answer once and hang up.
+                    await self._reject_over_limit(reader, writer)
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace")
@@ -290,6 +295,33 @@ class TimingServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    @staticmethod
+    async def _reject_over_limit(reader, writer) -> None:
+        """Answer an over-limit request line with one error response,
+        then half-close.  The rest of the client's input is read and
+        dropped for up to a second, because closing a socket with unread
+        input resets the connection and can discard the answer."""
+        response = {
+            "id": None,
+            "ok": False,
+            "error": f"request line exceeds the {MAX_LINE_BYTES}-byte "
+            "limit; closing the connection",
+            "elapsed_ms": 0.0,
+        }
+        writer.write((json.dumps(response, sort_keys=True) + "\n").encode())
+
+        async def discard_input():
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await writer.drain()
+            if writer.can_write_eof():
+                writer.write_eof()
+            await asyncio.wait_for(discard_input(), timeout=1.0)
+        except (ConnectionError, asyncio.TimeoutError):
+            pass
 
     # ------------------------------------------------------------------
     # Request path: coalesce -> admit -> queue -> executor

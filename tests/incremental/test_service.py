@@ -145,6 +145,35 @@ def test_degraded_warm_pool_round_preserves_records():
     assert degraded == golden
 
 
+def test_hung_warm_pool_times_out_every_round_and_rebuilds(monkeypatch):
+    """The warm pool's timeout path: with ``hang:0`` every round's task 0
+    hangs (task indices restart with each round), so every round times
+    out, degrades to serial and kills the pool, which the next round
+    rebuilds.  Records still equal the golden transcript."""
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0")
+    monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "60")
+    session = (SERVICE_DIR / "session.jsonl").read_text().splitlines()
+    with WarmPool(jobs=2, timeout=1) as pool:
+        service = QueryService(jobs=2, pool=pool)
+        writer = io.StringIO()
+        serve_stream(service, iter(session), writer)
+        stats = pool.stats()
+    records = [
+        normalize_line(line, strip_stats=True)
+        for line in writer.getvalue().splitlines()
+    ]
+    golden = [
+        normalize_line(line, strip_stats=True)
+        for line in (SERVICE_DIR / "golden_session.jsonl")
+        .read_text()
+        .splitlines()
+    ]
+    assert records == golden
+    assert stats["rounds"] > 0
+    assert stats["degraded_rounds"] == stats["rounds"]
+    assert stats["restarts"] == stats["rounds"] - 1
+
+
 def test_final_line_without_trailing_newline_is_serviced():
     """Regression: a stream ending without '\\n' on the last request
     used to drop it; readline-based framing services it at EOF."""

@@ -1,12 +1,8 @@
 """The shared JSON-lines framing layer (`repro.serve.framing`).
 
-Three subsystems sit on this one module — the query service, the
-multi-client server, and the distributed shard workers — so these tests
-pin the contracts all of them inherit: line iteration with the EOF
-final-line rule, the framed-read error taxonomy, the endpoint grammar
-of docs/DISTRIBUTED.md §4 and §6, and the unix-socket
-probe/refuse/unlink lifecycle that `trued worker --socket` gained by
-the hoist (docs/DISTRIBUTED.md §6).
+The query service and the multi-client server sit on this one module, so
+these tests pin the contracts both inherit: line iteration with the EOF
+final-line rule, and the unix-socket probe/refuse/unlink lifecycle.
 """
 
 import io
@@ -17,16 +13,10 @@ import threading
 import pytest
 
 from repro.serve.framing import (
-    MAX_LINE_BYTES,
     ProtocolError,
     bound_unix_socket,
-    connect_endpoint,
-    format_endpoint,
     iter_request_lines,
-    parse_endpoint,
     prepare_unix_socket_path,
-    read_json_line,
-    send_json_line,
 )
 
 
@@ -44,74 +34,6 @@ def test_final_unterminated_line_is_still_a_request():
 def test_plain_iterables_pass_through():
     lines = ['{"op": "a"}\n', '{"op": "b"}\n']
     assert list(iter_request_lines(iter(lines))) == lines
-
-
-# ----------------------------------------------------------------------
-# send_json_line / read_json_line
-# ----------------------------------------------------------------------
-def test_round_trip_is_one_sorted_line():
-    out = io.StringIO()
-    send_json_line(out, {"b": 2, "a": 1})
-    text = out.getvalue()
-    assert text == '{"a": 1, "b": 2}\n'
-    assert read_json_line(io.StringIO(text)) == {"a": 1, "b": 2}
-
-
-def test_read_json_line_eof_and_blank():
-    assert read_json_line(io.StringIO("")) is None
-    assert read_json_line(io.StringIO("\n")) == {}
-    assert read_json_line(io.StringIO("   \n")) == {}
-
-
-def test_read_json_line_rejects_non_object():
-    with pytest.raises(ProtocolError, match="JSON object"):
-        read_json_line(io.StringIO("[1, 2]\n"))
-
-
-def test_read_json_line_rejects_garbage():
-    with pytest.raises(ProtocolError, match="invalid JSON"):
-        read_json_line(io.StringIO("{nope\n"))
-
-
-def test_read_json_line_caps_unterminated_floods():
-    flood = "x" * (MAX_LINE_BYTES + 10)
-    with pytest.raises(ProtocolError, match="framing limit"):
-        read_json_line(io.StringIO(flood))
-
-
-def test_read_json_line_accepts_a_large_terminated_line():
-    big = json.dumps({"blob": "y" * 100_000}) + "\n"
-    assert read_json_line(io.StringIO(big)) == {"blob": "y" * 100_000}
-
-
-# ----------------------------------------------------------------------
-# Endpoint grammar (docs/DISTRIBUTED.md §6: --tcp/--socket, --hosts)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec,expected",
-    [
-        ("127.0.0.1:9101", ("tcp", "127.0.0.1", 9101)),
-        ("tcp://10.0.0.7:80", ("tcp", "10.0.0.7", 80)),
-        (":9101", ("tcp", "127.0.0.1", 9101)),
-        ("unix:///tmp/w.sock", ("unix", "/tmp/w.sock")),
-        ("/tmp/w.sock", ("unix", "/tmp/w.sock")),
-        ("worker.sock", ("unix", "worker.sock")),
-        ("  127.0.0.1:9101  ", ("tcp", "127.0.0.1", 9101)),
-    ],
-)
-def test_parse_endpoint_grammar(spec, expected):
-    assert parse_endpoint(spec) == expected
-
-
-@pytest.mark.parametrize("spec", ["", "   ", "nonsense", "host:port"])
-def test_parse_endpoint_rejects_garbage(spec):
-    with pytest.raises(ProtocolError):
-        parse_endpoint(spec)
-
-
-def test_format_endpoint_round_trips():
-    for spec in ("tcp://127.0.0.1:9101", "unix:///tmp/w.sock"):
-        assert format_endpoint(parse_endpoint(spec)) == spec
 
 
 # ----------------------------------------------------------------------
@@ -165,23 +87,26 @@ def test_bound_unix_socket_accepts_connections(tmp_path):
         with bound_unix_socket(path) as server:
             conn, _ = server.accept()
             with conn, conn.makefile("r") as r, conn.makefile("w") as w:
-                request = read_json_line(r)
-                send_json_line(w, {"ok": True, "echo": request})
+                request = json.loads(r.readline())
+                w.write(json.dumps({"ok": True, "echo": request}) + "\n")
 
     thread = threading.Thread(target=serve)
     thread.start()
     try:
         for _ in range(200):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
-                sock = connect_endpoint(("unix", path), timeout=1.0)
+                sock.connect(path)
                 break
             except (ConnectionRefusedError, FileNotFoundError):
+                sock.close()
                 import time
 
                 time.sleep(0.01)
         with sock, sock.makefile("r") as r, sock.makefile("w") as w:
-            send_json_line(w, {"op": "ping"})
-            replies.append(read_json_line(r))
+            w.write(json.dumps({"op": "ping"}) + "\n")
+            w.flush()
+            replies.append(json.loads(r.readline()))
     finally:
         thread.join(timeout=5)
     assert replies == [{"ok": True, "echo": {"op": "ping"}}]

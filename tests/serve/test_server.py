@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 
@@ -10,6 +11,7 @@ import pytest
 from repro.incremental.service import QueryService
 from repro.runtime.metrics import GLOBAL_METRICS
 from repro.serve import TimingServer, default_script, run_loadgen
+from repro.serve.framing import MAX_LINE_BYTES
 from repro.serve.loadgen import percentile
 
 from tests.helpers import C17_BENCH
@@ -87,6 +89,45 @@ def test_final_line_without_newline_is_serviced():
     assert len(responses) == 2
     assert responses[1]["ok"]
     assert responses[1]["result"]["record"]["delay"] == 3
+
+
+def test_over_limit_line_gets_one_error_line_then_close(caplog):
+    """Regression: a request line longer than MAX_LINE_BYTES used to kill
+    its connection with no response, while asyncio logged an unhandled
+    ValueError.  Now the client reads one error line naming the limit,
+    then EOF, and the server goes on serving new sessions."""
+
+    async def scenario():
+        server = TimingServer()
+        await server.start(host="127.0.0.1", port=0)
+        try:
+            host, port = server.tcp_address
+            reader, writer = await asyncio.open_connection(host, port)
+            blob = b"x" * (MAX_LINE_BYTES + 16)
+            writer.write(b'{"op": "load", "bench": "' + blob + b'"}\n')
+            await writer.drain()
+            rejected = json.loads(await reader.readline())
+            tail = await reader.read()
+            writer.close()
+            r2, w2 = await asyncio.open_connection(host, port)
+            stats = await _request(r2, w2, {"op": "server_stats"})
+            w2.close()
+            # Let both handlers finish before stop(), so a handler
+            # cancelled at loop teardown cannot log an error of its own.
+            while server.stats_counters.sessions_active:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return rejected, tail, stats
+        finally:
+            await server.stop()
+
+    with caplog.at_level(logging.ERROR):
+        rejected, tail, stats = run(scenario())
+    assert rejected["ok"] is False
+    assert f"{MAX_LINE_BYTES}-byte limit" in rejected["error"]
+    assert tail == b""
+    assert stats["ok"] and stats["result"]["sessions_opened"] == 2
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_shutdown_op_stops_the_whole_server():

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cli import load_circuit, main
+from repro.cli import build_parser, load_circuit, main
 from repro.network import dumps_verilog
 
 from tests.helpers import C17_BENCH, c17
@@ -178,6 +178,50 @@ class TestTracingAndFaultTolerance:
              "-o", str(sharded_file)]
         ) == 0
         assert sharded_file.read_bytes() == serial_file.read_bytes()
+
+
+RUNTIME_FLAGS = [
+    "--cache", "DIR", "--no-cache", "--timeout", "5", "--retries", "0",
+    "--metrics", "--trace", "t.json",
+]
+
+
+def _runtime_settings(args):
+    return (
+        args.cache, args.no_cache, args.timeout, args.retries,
+        args.metrics, args.trace,
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["delays", "c17.bench"],
+        ["characterize", "run", "spec.toml"],
+        ["fuzz", "run"],
+        ["fuzz", "replay", "x.repro.json"],
+        ["fuzz", "shrink", "x.repro.json"],
+        ["fuzz", "corpus"],
+    ],
+)
+def test_command_families_share_the_runtime_flags(command, capsys):
+    """Analysis, characterize and fuzz commands take one runtime flag
+    group with the same dests and defaults; the removed ``--transport``
+    option and ``worker`` command are usage errors (exit 2)."""
+    parser = build_parser()
+    assert _runtime_settings(parser.parse_args(command)) == (
+        None, False, None, 1, False, None,
+    )
+    assert _runtime_settings(parser.parse_args(command + RUNTIME_FLAGS)) == (
+        "DIR", True, 5.0, 0, True, "t.json",
+    )
+    for removed in (
+        command + ["--transport", "local"],
+        ["worker", "--tcp", "127.0.0.1:0"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(removed)
+        assert exit_info.value.code == 2
 
 
 class TestBenchCommand:
