@@ -41,9 +41,11 @@ Netlist format is inferred from the extension: ``.bench``, ``.blif``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional
 
+from .circuits import available_circuits, build_circuit
 from .core import (
     PathFaultGenerator,
     TestStrength,
@@ -79,7 +81,8 @@ from .sta import render_table, statistics_row, timing_report
 
 
 def load_circuit(path: str) -> Circuit:
-    """Load a netlist, dispatching on the file extension."""
+    """Load a netlist, dispatching on the file extension, or build a
+    registry circuit when ``path`` names one and no such file exists."""
     lowered = path.lower()
     if lowered.endswith(".bench"):
         return load_bench(path)
@@ -87,9 +90,11 @@ def load_circuit(path: str) -> Circuit:
         return load_blif(path)
     if lowered.endswith((".v", ".verilog")):
         return load_verilog(path)
+    if not os.path.exists(path) and path in available_circuits():
+        return build_circuit(path)
     raise ValueError(
-        f"cannot infer netlist format of {path!r} "
-        "(expected .bench, .blif or .v)"
+        f"cannot load {path!r}: expected a netlist file (.bench, .blif or "
+        f".v) or a registry circuit name ({', '.join(available_circuits())})"
     )
 
 

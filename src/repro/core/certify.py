@@ -148,10 +148,9 @@ def certify(
     keyed by both circuits' fingerprints and the flow parameters).
     """
     circuit.validate()
-    store = None
+    store = resolve_cache(cache)
     token = None
-    if constraint is None and floating_constraint is None:
-        store = resolve_cache(cache)
+    if store.enabled and constraint is None and floating_constraint is None:
         token = store.token(
             circuit,
             "certify",
@@ -184,34 +183,35 @@ def certify(
     # Fast path (Sec. VIII mode agreement): if the floating witness extends
     # to a vector pair exciting a transition at exactly delta, then
     # t.d. == f.d. with one cheap, heavily-restricted check.
-    analysis = TransitionAnalysis(circuit, engine_name=engine_name)
-    agreement_pair = extend_floating_witness(
-        circuit, floating, analysis=analysis, constraint=constraint
-    )
-    if agreement_pair is not None:
-        replay = EventSimulator(circuit).simulate_transition(
-            agreement_pair.v_prev, agreement_pair.v_next
+    with METRICS.phase("certify.transition"):
+        analysis = TransitionAnalysis(circuit, engine_name=engine_name)
+        agreement_pair = extend_floating_witness(
+            circuit, floating, analysis=analysis, constraint=constraint
         )
-        critical = max(
-            circuit.outputs,
-            key=lambda out: replay.waveforms[out].last_event_time or 0,
-        )
-        transition = DelayCertificate(
-            mode="transition",
-            delay=floating.delay,
-            output=critical,
-            value=replay.waveforms[critical].final,
-            pair=agreement_pair,
-            checks=1,
-            extra={"mode_agreement_fast_path": True},
-        )
-    else:
-        transition = compute_transition_delay(
-            circuit,
-            upper=floating.delay,
-            constraint=constraint,
-            analysis=analysis,
-        )
+        if agreement_pair is not None:
+            replay = EventSimulator(circuit).simulate_transition(
+                agreement_pair.v_prev, agreement_pair.v_next
+            )
+            critical = max(
+                circuit.outputs,
+                key=lambda out: replay.waveforms[out].last_event_time or 0,
+            )
+            transition = DelayCertificate(
+                mode="transition",
+                delay=floating.delay,
+                output=critical,
+                value=replay.waveforms[critical].final,
+                pair=agreement_pair,
+                checks=1,
+                extra={"mode_agreement_fast_path": True},
+            )
+        else:
+            transition = compute_transition_delay(
+                circuit,
+                upper=floating.delay,
+                constraint=constraint,
+                analysis=analysis,
+            )
     pairs: Dict[str, Tuple[int, VectorPair]] = {}
     if per_output_pairs:
         if jobs != 1 and constraint is None:
@@ -243,7 +243,7 @@ def certify(
             certified_min_period=theorem31_min_period(circuit, 0),
             notes=["no vector pair produces any output transition"],
         )
-        if store is not None:
+        if token is not None:
             store.put(token, report)
         return report
 
@@ -252,8 +252,8 @@ def certify(
     # All pairs' v_-1 settled states come from one pass of the word-level
     # kernel; each event replay starts from its precomputed state.
     pair_list = [pair for __, pair in pairs.values()]
-    simulator = EventSimulator(circuit)
     with METRICS.phase("certify.replay"):
+        simulator = EventSimulator(circuit)
         initials, __ = batch_pair_states(circuit, pair_list)
         model_replay = max(
             simulator.measure_pair_delay(
@@ -272,8 +272,8 @@ def certify(
         # Same netlist, different delay annotation: settled states are
         # delay-independent, but batch against the accurate circuit anyway
         # in case its structure was edited too.
-        accurate_simulator = EventSimulator(accurate_circuit)
         with METRICS.phase("certify.replay"):
+            accurate_simulator = EventSimulator(accurate_circuit)
             accurate_initials, __ = batch_pair_states(
                 accurate_circuit, pair_list
             )
@@ -328,6 +328,6 @@ def certify(
         statistics=statistics,
         notes=notes,
     )
-    if store is not None:
+    if token is not None:
         store.put(token, report)
     return report

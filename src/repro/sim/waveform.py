@@ -104,8 +104,8 @@ class WaveformSet:
     def last_event_time(self, names: Optional[Sequence[str]] = None) -> int:
         """Latest event time over ``names`` (default: all); 0 if none."""
         latest = 0
-        for name in names if names is not None else self.waveforms:
-            t = self.waveforms[name].last_event_time
+        for name in names if names is not None else self.names():
+            t = self[name].last_event_time
             if t is not None and t > latest:
                 latest = t
         return latest
@@ -113,12 +113,11 @@ class WaveformSet:
     def render(self, names: Optional[Sequence[str]] = None,
                horizon: Optional[int] = None) -> str:
         """Multi-line ASCII rendering (one strip per signal)."""
-        names = list(names) if names is not None else sorted(self.waveforms)
+        names = list(names) if names is not None else sorted(self.names())
         if horizon is None:
             horizon = max(1, self.last_event_time(names) + 1)
         width = max((len(n) for n in names), default=0)
         lines = []
         for name in names:
-            wave = self.waveforms[name]
-            lines.append(f"{name:<{width}} {wave.render(horizon)}")
+            lines.append(f"{name:<{width}} {self[name].render(horizon)}")
         return "\n".join(lines)

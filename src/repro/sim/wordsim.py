@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional, Sequence
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from ..network.circuit import Circuit
 from ..network.gates import GateType, validate_arity
@@ -124,7 +124,10 @@ class WordKernel:
                 f"expected one of {_BACKENDS}"
             )
         circuit.validate()
-        self.circuit = circuit
+        # A weak reference: the per-circuit cache below holds kernels, and
+        # a kernel holding its circuit would keep every circuit it ever
+        # compiled alive.
+        self._circuit = ref(circuit)
         self.backend = backend
         self._order = circuit.topological_order()
         slots = {name: index for index, name in enumerate(self._order)}
@@ -146,6 +149,30 @@ class WordKernel:
         self._slots = slots
         self._input_slots = [(name, slots[name]) for name in circuit.inputs]
         self._input_set = frozenset(circuit.inputs)
+
+    @property
+    def circuit(self) -> Circuit:
+        """The compiled circuit (raises once it has been freed)."""
+        circuit = self._circuit()
+        if circuit is None:
+            raise ReferenceError("the kernel's circuit no longer exists")
+        return circuit
+
+    @property
+    def order(self) -> List[str]:
+        """Node names by slot: slot ``i`` holds ``order[i]`` (topological)."""
+        return self._order
+
+    @property
+    def slots(self) -> Dict[str, int]:
+        """Slot of every node name."""
+        return self._slots
+
+    @property
+    def program(self) -> List[tuple]:
+        """``(op, slot, fanin slots)`` per gate, in slot order — the one
+        compiled slot program, also run by :mod:`repro.sim.event_sim`."""
+        return self._program
 
     # ------------------------------------------------------------------
     def resolved_backend(self, width: int) -> str:

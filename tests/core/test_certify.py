@@ -66,3 +66,35 @@ class TestCertifyFlow:
         report = certify(c, accurate_circuit=accurate)
         assert report.verdict == Verdict.CERTIFIED
         assert report.accurate_replay_delay == report.model_replay_delay
+
+
+#: The phases ``certify`` opens directly, one per step of the flow.
+TOP_LEVEL_PHASES = (
+    "core.floating",
+    "certify.transition",
+    "core.certification_pairs",
+    "certify.replay",
+    "certify.statistical",
+)
+
+
+def test_named_phases_cover_the_call(monkeypatch):
+    """Nearly all of a certify call's wall time falls in a named phase,
+    so a run's metrics explain where its time went."""
+    import time
+
+    from repro.circuits import build_circuit
+    from repro.runtime import cache, metrics_scope
+
+    # Cold analyses only: a cache hit would skip the phases under test.
+    monkeypatch.setattr(cache, "_GLOBAL", cache.DelayCache(enabled=False))
+    circuit = build_circuit("c880")
+    with metrics_scope() as metrics:
+        start = time.perf_counter()
+        certify(
+            scale_delays(circuit, 2), accurate_circuit=circuit,
+            statistical_samples=4, seed=1,
+        )
+        wall = time.perf_counter() - start
+    named = sum(metrics.phase_seconds(name) for name in TOP_LEVEL_PHASES)
+    assert named >= 0.95 * wall, (named, wall, metrics.snapshot()["phases"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 
 from repro.network import Circuit, CircuitBuilder, GateType, loads_bench
+from repro.network.gates import evaluate_gate
 from repro.sim import EventSimulator, all_input_vectors
 
 C17_BENCH = """
@@ -48,6 +49,53 @@ def exhaustive_transition_delay(circuit: Circuit) -> int:
         for prev in vectors
         for nxt in vectors
     )
+
+
+def reference_waveforms(circuit, v_prev, v_next, input_times=None):
+    """Independent oracle for single-stepping simulation: every node's
+    ``(time, value)`` events, from a time-stepped model that shares no
+    code with the event engine (only the settled start state, which
+    both take from ``Circuit.evaluate``).
+
+    For each integer ``t`` from 0 to the latest input time plus the
+    topological delay, nodes are visited in topological order and a gate
+    of delay ``d`` takes ``f(fanins at t - d)``; before time 0 every node
+    holds its settled value under ``v_prev``, and a zero-delay gate reads
+    its fanins at ``t`` itself.  An input takes its ``v_next`` value from
+    its ``input_times`` entry (default 0) on.
+    """
+    times = input_times or {}
+    settled = circuit.evaluate(v_prev)
+    order = circuit.topological_order()
+    horizon = max(
+        (times.get(name, 0) for name in circuit.inputs), default=0
+    ) + circuit.topological_delay()
+    history = {name: [] for name in order}
+
+    def value(name, t):
+        return history[name][t] if t >= 0 else settled[name]
+
+    for t in range(horizon + 1):
+        for name in order:
+            node = circuit.node(name)
+            if node.gate_type == GateType.INPUT:
+                late = t < times.get(name, 0)
+                out = bool(v_prev[name] if late else v_next[name])
+            else:
+                out = evaluate_gate(
+                    node.gate_type,
+                    [value(f, t - node.delay) for f in node.fanins],
+                )
+            history[name].append(out)
+    events = {}
+    for name in order:
+        previous = settled[name]
+        events[name] = []
+        for t, out in enumerate(history[name]):
+            if out != previous:
+                events[name].append((t, out))
+            previous = out
+    return events
 
 
 def exhaustive_floating_delay(circuit: Circuit) -> int:

@@ -173,6 +173,17 @@ class TestKernelCache:
         second = kernel_for(c)
         assert second is not first
 
+    def test_cache_does_not_keep_circuits_alive(self):
+        import gc
+        import weakref
+
+        c = tiny_and_or()
+        kernel_for(c)
+        alive = weakref.ref(c)
+        del c
+        gc.collect()
+        assert alive() is None
+
     def test_rewire_changes_results(self):
         b = CircuitBuilder("rw")
         a, bb = b.inputs("a", "b")

@@ -1,7 +1,8 @@
 import pytest
 
+from repro.circuits import build_circuit
 from repro.cli import build_parser, load_circuit, main
-from repro.network import dumps_verilog
+from repro.network import dumps_bench, dumps_verilog
 
 from tests.helpers import C17_BENCH, c17
 
@@ -30,6 +31,44 @@ class TestLoader:
         path.write_text("x")
         with pytest.raises(ValueError):
             load_circuit(str(path))
+
+
+class TestRegistryNames:
+    """A registry name stands in for a netlist file of the same circuit."""
+
+    @pytest.fixture
+    def registry_bench(self, tmp_path):
+        path = tmp_path / "c17.bench"
+        path.write_text(dumps_bench(build_circuit("c17")))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["delays"],
+            ["certify"],
+            ["vectors"],
+            ["simulate", "--prev", "00000", "--next", "11111"],
+        ],
+        ids=["delays", "certify", "vectors", "simulate"],
+    )
+    def test_name_matches_file(self, command, registry_bench, capsys):
+        assert main([command[0], "c17"] + command[1:]) == 0
+        by_name = capsys.readouterr().out
+        assert main([command[0], registry_bench] + command[1:]) == 0
+        by_file = capsys.readouterr().out.replace(registry_bench, "c17")
+        assert by_name == by_file
+
+    def test_file_wins_over_name(self, tmp_path, monkeypatch):
+        (tmp_path / "c17").write_text("not a netlist")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="cannot load"):
+            load_circuit("c17")
+
+    def test_unknown_name_lists_both_forms(self, capsys):
+        assert main(["delays", "no_such_circuit"]) == 2
+        err = capsys.readouterr().err
+        assert ".bench" in err and "c17" in err and "c7552" in err
 
 
 class TestCommands:
